@@ -60,7 +60,7 @@ struct Deployment {
   std::shared_ptr<RootSession> root;
 
   static std::unique_ptr<Deployment> Create() {
-    RootSession::Options options;
+    cluster::Cluster::Options options;
     options.aggregation.aggregation_window_ms = 0;
     options.rpc.deadline_ms = 10000;
     options.rpc.max_retries = 4;

@@ -31,8 +31,8 @@ class RootSession;
 ///    economic claim (§7) is precisely that many users multiplex them.
 ///  - **ComputationCache**: keyed by (dataset id, sketch name, seed), so two
 ///    sessions rendering the same view are served one computation —
-///    single-flighted, and never populated with degraded (coverage < 1)
-///    results (see ComputationCache::GetOrBeginCompute).
+///    single-flighted through SingleFlightLru (util/single_flight_lru.h),
+///    and never populated with degraded (coverage < 1) results.
 ///  - **QueryScheduler**: deficit-round-robin fairness and admission control
 ///    across the sessions' queries.
 ///

@@ -32,29 +32,6 @@ double QueryBackoffMs(const SketchOptions::RpcPolicy& rpc, uint64_t seed,
   return ms * (0.5 + 0.5 * rng.NextDouble());
 }
 
-/// Settles a single-flight cache flight on every exit path. The owner
-/// publishes a value only for full-coverage successes; everything else
-/// (degraded, cancelled, shed, failed) releases the flight empty so a
-/// waiting session recomputes instead of adopting a partial result.
-class FlightGuard {
- public:
-  FlightGuard(ComputationCache* cache, std::string key, bool active)
-      : cache_(cache), key_(std::move(key)), active_(active) {}
-  ~FlightGuard() {
-    if (active_) cache_->FinishCompute(key_, std::move(value_));
-  }
-  void Publish(AnySummary value) { value_ = std::move(value); }
-
-  FlightGuard(const FlightGuard&) = delete;
-  FlightGuard& operator=(const FlightGuard&) = delete;
-
- private:
-  ComputationCache* cache_;
-  std::string key_;
-  bool active_;
-  std::optional<AnySummary> value_;
-};
-
 }  // namespace
 
 Status RootSession::LoadDataSet(
@@ -158,7 +135,12 @@ Result<AnySummary> RootSession::RunErased(const std::string& dataset_id,
   const std::string cache_key =
       ComputationCache::Key(dataset_id, sketch.name(), seed);
 
-  bool flight_owner = false;
+  // Owns this query's cache flight when it is elected to compute. Only a
+  // full-coverage success is published; every other exit (degraded,
+  // cancelled, shed, failed) drops the handle, which releases the flight
+  // empty so a waiting session recomputes instead of adopting a partial
+  // result.
+  ComputationCache::Flight flight;
   if (cacheable) {
     if (token != nullptr && token->IsCancelled()) {
       return Status::Cancelled("render superseded before start");
@@ -168,14 +150,13 @@ Result<AnySummary> RootSession::RunErased(const std::string& dataset_id,
     // miss elects this query the flight owner. The cache only ever holds
     // full-coverage results, so a hit is always complete.
     bool coalesced = false;
-    auto hit = cache.GetOrBeginCompute(cache_key, &flight_owner, &coalesced);
+    auto hit = cache.GetOrBeginCompute(cache_key, &flight, &coalesced);
     if (hit.has_value()) {
       q.from_cache = true;
       q.coalesced = coalesced;
       return *hit;
     }
   }
-  FlightGuard flight(&cache, cache_key, flight_owner);
 
   redo_log_.Append("sketch", dataset_id + "#" + sketch.name(), seed);
 
@@ -203,7 +184,7 @@ Result<AnySummary> RootSession::RunErased(const std::string& dataset_id,
   cluster_->scheduler().ChargeCost(
       session_id_, static_cast<int64_t>(after.bytes_up - before.bytes_up));
 
-  if (outcome.ok() && !q.degraded && flight_owner) {
+  if (outcome.ok() && !q.degraded) {
     // Publish to the shared cache and to any waiting session. Degraded
     // results are NEVER published: after the cluster heals, the same query
     // must recompute at full coverage, not serve the partial view forever —

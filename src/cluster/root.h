@@ -47,10 +47,6 @@ namespace cluster {
 /// The Cluster must outlive the session and every query it runs.
 class RootSession {
  public:
-  /// Deployment-wide tuning now lives on the Cluster; the alias keeps the
-  /// pre-split spelling (`RootSession::Options`) working at call sites.
-  using Options = Cluster::Options;
-
   /// Per-query fault-handling + serving observability, filled in by
   /// RunSketch / RunErased when the caller passes a stats out-param.
   struct QueryStats {
@@ -146,9 +142,6 @@ class RootSession {
   int num_workers() const { return cluster_->num_workers(); }
   const std::vector<WorkerPtr>& workers() const { return cluster_->workers(); }
   RedoLog& redo_log() { return redo_log_; }
-  /// The CLUSTER's shared cache (kept under the pre-split name so existing
-  /// call sites read naturally).
-  ComputationCache& cache() { return cluster_->shared_cache(); }
   SimulatedNetwork* network() { return cluster_->network(); }
   WorkerHealth& health() { return cluster_->health(); }
 

@@ -268,6 +268,16 @@ struct Merger {
   Status first_error GUARDED_BY(mutex);
 };
 
+/// Feeds child `child`'s stream into the merger.
+void ForwardChild(const std::shared_ptr<Merger>& merger, int child,
+                  const StreamPtr<PartialResult<AnySummary>>& stream) {
+  stream->Subscribe(
+      [merger, child](const PartialResult<AnySummary>& p) {
+        merger->Update(child, p);
+      },
+      [merger, child](const Status& s) { merger->Complete(child, s); });
+}
+
 }  // namespace
 
 StreamPtr<PartialResult<AnySummary>> ParallelDataSet::RunSketch(
@@ -298,34 +308,9 @@ StreamPtr<PartialResult<AnySummary>> ParallelDataSet::RunSketch(
       int child_index = static_cast<int>(i);
       bool submitted =
           pool_->Submit([merger, leaf, sketch, child_options, child_index] {
-            if (child_options.cancellation != nullptr &&
-                child_options.cancellation->IsCancelled()) {
-              merger->Complete(child_index,
-                               Status::Cancelled("cancelled in queue"));
-              return;
-            }
-            auto table = leaf->GetTable();
-            if (!table.ok()) {
-              merger->Complete(child_index, table.status());
-              return;
-            }
-            AnySummary summary = sketch.Summarize(
-                *table.value(), child_options.seed,
-                SketchContext{/*aux_pool=*/child_options.aux_pool,
-                              /*key_cache=*/child_options.key_cache,
-                              /*cancellation=*/child_options.cancellation});
-            if (child_options.cancellation != nullptr &&
-                child_options.cancellation->IsCancelled()) {
-              // Superseded mid-scan: the morsel fan-out may have skipped
-              // ranges, so the summary is untrustworthy — complete Cancelled
-              // instead of merging it.
-              merger->Complete(child_index,
-                               Status::Cancelled("cancelled during summarize"));
-              return;
-            }
-            merger->Update(child_index,
-                           PartialResult<AnySummary>{1.0, std::move(summary)});
-            merger->Complete(child_index, Status::OK());
+            // The leaf's stream is already complete when RunSketch returns.
+            ForwardChild(merger, child_index,
+                         leaf->RunSketch(sketch, child_options));
           });
       if (!submitted) {
         // A shut-down pool drops the task; completing the child here keeps
@@ -337,15 +322,8 @@ StreamPtr<PartialResult<AnySummary>> ParallelDataSet::RunSketch(
       continue;
     }
     // Inner node (or no pool): recurse; the child stream is asynchronous.
-    auto child_stream = children_[i]->RunSketch(sketch, child_options);
-    int child_index = static_cast<int>(i);
-    child_stream->Subscribe(
-        [merger, child_index](const PartialResult<AnySummary>& p) {
-          merger->Update(child_index, p);
-        },
-        [merger, child_index](const Status& s) {
-          merger->Complete(child_index, s);
-        });
+    ForwardChild(merger, static_cast<int>(i),
+                 children_[i]->RunSketch(sketch, child_options));
   }
   return stream;
 }

@@ -61,13 +61,13 @@ struct QuantileResult {
   double RankErrorBound() const;
 
   void Serialize(ByteWriter* w) const;
-  /// Accepts both the current weighted format (weights travel as 1-byte
-  /// power-of-two exponents) and the legacy unit-weight payload (pre-KLL
-  /// workers during a rolling upgrade); rejects hostile scalars
-  /// (NaN/out-of-range rate, negative max_size, weight exponents or total
-  /// weight over the 2^44 cap — generous against the display-sized totals
-  /// real summaries carry, but tight enough that valid payloads cannot
-  /// compose into uint64 overflow downstream) with InvalidArgument.
+  /// Reads the weighted format (weights travel as 1-byte power-of-two
+  /// exponents). Rejects with InvalidArgument a payload without the
+  /// format's magic word, and hostile scalars (NaN/out-of-range rate,
+  /// negative max_size, weight exponents or total weight over the 2^44 cap
+  /// — generous against the display-sized totals real summaries carry, but
+  /// tight enough that valid payloads cannot compose into uint64 overflow
+  /// downstream).
   static Status Deserialize(ByteReader* r, QuantileResult* out);
 };
 

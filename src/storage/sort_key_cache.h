@@ -3,14 +3,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "storage/sort_key.h"
-#include "util/thread_annotations.h"
+#include "util/single_flight_lru.h"
 
 namespace hillview {
 
@@ -31,17 +31,17 @@ namespace hillview {
 ///
 /// Entries are keyed by SortKeyPlan::CacheKey() — column object identity
 /// plus direction and shape — and additionally hold weak references to the
-/// key columns: an entry whose columns have been destroyed is dropped on
-/// lookup, so a recycled allocation can never be served stale keys.
+/// key columns: an entry whose columns have been destroyed is dead, dropped
+/// on lookup and swept on insert, so a recycled allocation can never be
+/// served stale keys. (The key encodes each column's address, so a live
+/// entry's columns are exactly the querying plan's.)
 ///
-/// Thread-safe: worker pools summarize partitions concurrently; one mutex
-/// guards every map, counter and the in-flight table (capability-annotated —
-/// -Wthread-safety rejects unguarded access). Concurrent misses on the same
-/// plan are *single-flight* through GetOrBuild(): the first thread builds,
-/// later threads park on a condition variable and adopt the builder's vector
-/// instead of re-running the O(n) key pass (the `coalesced_builds` counter
-/// observes this). Raw Get/Put remain available and may still race benignly;
-/// the second Put replaces the first with an identical vector.
+/// Built on SingleFlightLru with cost = key bytes: concurrent misses on the
+/// same plan are *single-flight* through GetOrBuild() — the first thread
+/// builds, later threads park and adopt the builder's vector instead of
+/// re-running the O(n) key pass (the `coalesced_builds` counter observes
+/// this). Raw Get/Put remain available and may still race benignly; the
+/// second Put replaces the first with an identical vector. Thread-safe.
 class SortKeyCache {
  public:
   using KeysPtr = SortKeyPlan::KeysPtr;
@@ -49,10 +49,9 @@ class SortKeyCache {
   /// Default byte budget: 128 MB ≈ keys for 16M rows × 8 hot views.
   static constexpr size_t kDefaultMaxBytes = 128u << 20;
 
-  /// One consistent observability snapshot, taken under the lock: reading
-  /// counters through individual getters could interleave with a concurrent
-  /// scan and report e.g. a hit total from before an eviction next to an
-  /// eviction total from after it.
+  /// Observability snapshot. Everything but `encoding_hits` is read under
+  /// one lock, so e.g. a hit total from before an eviction never appears
+  /// next to an eviction total from after it.
   struct Stats {
     size_t entries = 0;
     size_t bytes_used = 0;
@@ -70,14 +69,12 @@ class SortKeyCache {
     int64_t encoding_hits = 0;
   };
 
-  explicit SortKeyCache(size_t max_bytes = kDefaultMaxBytes)
-      : max_bytes_(max_bytes) {}
+  explicit SortKeyCache(size_t max_bytes = kDefaultMaxBytes);
 
-  /// Cached keys for `plan`, or nullptr. Validates that the plan's key
-  /// columns are the live objects the entry was built from. On a hit the
-  /// plan adopts the entry's encoding snapshot, so the caller skips both
-  /// the key build *and* the O(n) encoding pre-passes.
-  KeysPtr Get(SortKeyPlan& plan) EXCLUDES(mutex_);
+  /// Cached keys for `plan`, or nullptr. On a hit the plan adopts the
+  /// entry's encoding snapshot, so the caller skips both the key build *and*
+  /// the O(n) encoding pre-passes.
+  KeysPtr Get(SortKeyPlan& plan);
 
   /// Inserts (or replaces) the keys for `plan` (whose encodings must be
   /// finalized), evicting LRU entries beyond the byte budget. Vectors
@@ -85,9 +82,8 @@ class SortKeyCache {
   /// of generation() read before the key build: a Clear() in between (crash
   /// / memory-manager eviction racing an in-flight Summarize) invalidates
   /// the insert, so evicted state cannot sneak back into the budget.
-  void Put(const SortKeyPlan& plan, KeysPtr keys, uint64_t generation)
-      EXCLUDES(mutex_);
-  void Put(const SortKeyPlan& plan, KeysPtr keys) EXCLUDES(mutex_);
+  void Put(const SortKeyPlan& plan, KeysPtr keys, uint64_t generation);
+  void Put(const SortKeyPlan& plan, KeysPtr keys);
 
   /// The single-flight consult path: cached keys if present; otherwise the
   /// first caller builds (when `build_allowed`) while concurrent callers
@@ -97,102 +93,64 @@ class SortKeyCache {
   /// callers (low-density scans) finish faster on the virtual comparator
   /// path than any O(universe) key pass they could wait for. A Clear()
   /// racing the build discards the insert as usual; waiters are still
-  /// served from the in-flight slot and later callers rebuild.
-  KeysPtr GetOrBuild(SortKeyPlan& plan, bool build_allowed) EXCLUDES(mutex_);
+  /// served from the in-flight slot and later callers rebuild. A build that
+  /// throws releases the flight, and a waiter becomes the next builder.
+  KeysPtr GetOrBuild(SortKeyPlan& plan, bool build_allowed);
 
   /// Drops everything (crash-restart / cache eviction, §5.8) and bumps the
   /// generation so racing Puts are discarded.
-  void Clear() EXCLUDES(mutex_);
+  void Clear();
 
   /// Monotone counter incremented by Clear(); read it before building keys
   /// and pass it to Put.
-  uint64_t generation() const EXCLUDES(mutex_);
+  uint64_t generation() const { return keys_.generation(); }
 
-  /// All counters and sizes, read atomically under the lock. Soft-state
-  /// regression tests assert a repeat scroll hits and an eviction resets to
-  /// a miss.
-  Stats Snapshot() const EXCLUDES(mutex_);
+  /// Soft-state regression tests assert a repeat scroll hits and an
+  /// eviction resets to a miss.
+  Stats Snapshot() const;
 
-  size_t max_bytes() const { return max_bytes_; }
+  size_t max_bytes() const { return keys_.budget(); }
 
-  /// Test hook: invoked by the building thread (unlocked) after it has
-  /// registered as the in-flight builder and before it starts the key pass,
-  /// so a threaded test can hold the build open until waiters have parked.
-  void SetInFlightHookForTest(std::function<void()> hook) EXCLUDES(mutex_);
+  /// Test hook: invoked by the building thread after it has been elected
+  /// and before it starts the key pass, so a threaded test can hold the
+  /// build open until waiters have parked (or make it throw). Set it before
+  /// the cache is shared between threads.
+  void SetInFlightHookForTest(std::function<void()> hook) {
+    in_flight_hook_ = std::move(hook);
+  }
 
  private:
+  /// One cached view: its keys (null in the encoding side-cache), the
+  /// finalized encodings, and liveness guards for the source columns.
+  /// Shared immutably, so a hit copies one pointer.
   struct Entry {
     KeysPtr keys;
     SortKeyPlan::EncodingSnapshot encodings;
-    /// Liveness guards for the columns the keys were derived from.
     std::vector<std::weak_ptr<const IColumn>> columns;
-    size_t bytes = 0;
-    std::list<std::string>::iterator lru_position;
   };
+  using EntryPtr = std::shared_ptr<const Entry>;
+
+  static EntryPtr MakeEntry(const SortKeyPlan& plan, KeysPtr keys);
+  /// False once any source column died.
+  static bool Live(const EntryPtr& entry);
+
+  /// Serves a lookup result into `plan`: the entry's keys and encodings, or
+  /// on a miss an encoding snapshot from the side-cache. Returns the keys or
+  /// nullptr.
+  KeysPtr Serve(const std::string& key, const std::optional<EntryPtr>& found,
+                SortKeyPlan& plan);
 
   /// Encoding snapshots are O(components) — a few dozen bytes — so they get
   /// their own side-cache outside the byte budget: even when a key vector is
   /// too large to cache (or was evicted), a rescan of the same very wide
   /// table skips the packed-transform min/max pre-passes. Capped by entry
-  /// count; dead entries are swept on insert like the main map.
-  struct EncodingEntry {
-    SortKeyPlan::EncodingSnapshot encodings;
-    std::vector<std::weak_ptr<const IColumn>> columns;
-  };
+  /// count. Cleared together with keys_, so the two generations move in
+  /// lockstep and one generation value fences both.
   static constexpr size_t kMaxEncodingEntries = 256;
 
-  void EvictOverBudgetLocked() REQUIRES(mutex_);
-  void DropDeadEntriesLocked() REQUIRES(mutex_);
-
-  /// Saves `plan`'s finalized encodings in the side-cache.
-  void RecordEncodingsLocked(const std::string& key, const SortKeyPlan& plan)
-      REQUIRES(mutex_);
-  /// Adopts a live side-cached snapshot into `plan`; false on miss/dead.
-  bool AdoptEncodingsLocked(const std::string& key, SortKeyPlan& plan)
-      REQUIRES(mutex_);
-
-  /// Serves a cache hit for `key` against `plan` under the lock, erasing the
-  /// entry (and reporting a miss, unless `count_miss` is false — GetOrBuild
-  /// retry rounds are one logical call) when its source columns died.
-  /// Returns nullptr on miss.
-  KeysPtr LookupLocked(const std::string& key, SortKeyPlan& plan,
-                       bool count_miss = true) REQUIRES(mutex_);
-
-  /// One in-flight build. Waiters hold the shared_ptr and adopt `keys` +
-  /// `encodings` straight from it once `done`, so they are served even when
-  /// the vector was too large for Put to cache (the pre-single-flight code
-  /// would have built in parallel; serializing N full builds behind a
-  /// never-cacheable entry would be strictly worse). `keys == nullptr`
-  /// after `done` means the build failed (unwound); waiters then retry and
-  /// may become the next builder. All fields are guarded by the owning
-  /// cache's mutex_ (the analysis cannot express a guard across objects, so
-  /// the discipline is documented here and enforced by the access sites all
-  /// living in GetOrBuild's locked scopes).
-  struct InFlightBuild {
-    bool done = false;
-    KeysPtr keys;
-    SortKeyPlan::EncodingSnapshot encodings;
-  };
-
-  mutable Mutex mutex_;
-  CondVar build_done_;
-  size_t max_bytes_;
-  size_t bytes_used_ GUARDED_BY(mutex_) = 0;
-  uint64_t generation_ GUARDED_BY(mutex_) = 0;
-  std::unordered_map<std::string, Entry> entries_ GUARDED_BY(mutex_);
-  std::list<std::string> lru_ GUARDED_BY(mutex_);  // front = most recent
-  /// CacheKeys with a build in flight; waiters park on build_done_.
-  std::unordered_map<std::string, std::shared_ptr<InFlightBuild>> in_flight_
-      GUARDED_BY(mutex_);
-  std::function<void()> in_flight_hook_ GUARDED_BY(mutex_);
-  std::unordered_map<std::string, EncodingEntry> encoding_entries_
-      GUARDED_BY(mutex_);
-  int64_t encoding_hits_ GUARDED_BY(mutex_) = 0;
-  int64_t hits_ GUARDED_BY(mutex_) = 0;
-  int64_t misses_ GUARDED_BY(mutex_) = 0;
-  int64_t evictions_ GUARDED_BY(mutex_) = 0;
-  int64_t coalesced_builds_ GUARDED_BY(mutex_) = 0;
-  int64_t waiters_ GUARDED_BY(mutex_) = 0;
+  SingleFlightLru<EntryPtr> keys_;
+  SingleFlightLru<EntryPtr> encodings_;
+  std::function<void()> in_flight_hook_;
 };
 
 /// The one cache-consult sequence shared by every keyed sketch path:

@@ -56,8 +56,8 @@ constexpr int kPartitions = 8;
 /// Root options for chaos runs: deadlines on (so lost messages become
 /// kDeadlineExceeded), zero backoff (faults settle through the simulation,
 /// not the wall clock), generous per-RPC retry budget.
-RootSession::Options ChaosOptions() {
-  RootSession::Options options;
+cluster::Cluster::Options ChaosOptions() {
+  cluster::Cluster::Options options;
   options.aggregation.aggregation_window_ms = 0;
   options.rpc.deadline_ms = 5000;
   options.rpc.max_retries = 8;
@@ -71,7 +71,7 @@ RootSession::Options ChaosOptions() {
 /// deterministic-message-count configuration).
 std::unique_ptr<TestCluster> MakeChaosCluster(
     const std::vector<TablePtr>& partitions,
-    RootSession::Options options = ChaosOptions()) {
+    cluster::Cluster::Options options = ChaosOptions()) {
   ParallelDataSet::Options worker_aggregation;
   worker_aggregation.progressive = false;
   return TestCluster::Create(partitions, kWorkers, /*threads_per_worker=*/2,
@@ -279,14 +279,14 @@ TEST(Chaos, MutedWorkerDegradesWithExactCoverageAndIsNeverCached) {
   EXPECT_NE(tc->root->health().state(kDead), WorkerHealth::State::kClosed);
   // Degraded results are never cached: the cache stays empty and a repeat of
   // the same cacheable query recomputes (degraded again) instead of hitting.
-  EXPECT_EQ(tc->root->cache().Snapshot().entries, 0u);
+  EXPECT_EQ(tc->root->cluster()->shared_cache().Snapshot().entries, 0u);
   RootSession::QueryStats again;
   auto repeat = tc->root->RunSketch<HistogramResult>(
       "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/true, &again);
   ASSERT_TRUE(repeat.ok());
   EXPECT_FALSE(again.from_cache);
   EXPECT_TRUE(again.degraded);
-  EXPECT_EQ(tc->root->cache().Snapshot().hits, 0);
+  EXPECT_EQ(tc->root->cluster()->shared_cache().Snapshot().hits, 0);
 
   // Once the fault clears and the breaker closes (probed below in its own
   // test), a full-coverage repeat is allowed back into the cache — proving
@@ -303,7 +303,7 @@ TEST(Chaos, MutedWorkerDegradesWithExactCoverageAndIsNeverCached) {
   EXPECT_FALSE(healed_stats.degraded);
   EXPECT_EQ(healed_stats.coverage, 1.0);
   EXPECT_EQ(SummaryBytes(healed.value()), SummaryBytes(Reference(all_values)));
-  EXPECT_EQ(tc->root->cache().Snapshot().entries, 1u);
+  EXPECT_EQ(tc->root->cluster()->shared_cache().Snapshot().entries, 1u);
 }
 
 // Recovery choreography, step by step: while the breaker is open the worker
@@ -313,7 +313,7 @@ TEST(Chaos, MutedWorkerDegradesWithExactCoverageAndIsNeverCached) {
 TEST(Chaos, RecoveredWorkerClosesBreakerViaHalfOpenProbe) {
   constexpr int kDead = 1;
   std::vector<double> all_values;
-  RootSession::Options options = ChaosOptions();
+  cluster::Cluster::Options options = ChaosOptions();
   options.health.open_uses_before_probe = 3;
   auto tc = MakeChaosCluster(ChaosPartitions(&all_values), options);
   ASSERT_NE(tc, nullptr);

@@ -175,7 +175,7 @@ TEST(Cluster, RepeatedCrashLadderHealsByteIdentical) {
   for (const auto& chunk : SplitValues(values, 6)) {
     partitions.push_back(MakeDoubleTable("x", chunk));
   }
-  RootSession::Options options;
+  cluster::Cluster::Options options;
   options.max_replay_retries = 8;  // the ladder burns five heals
   auto tc = TestCluster::Create(partitions, /*workers=*/3, /*threads=*/2,
                                 options);
@@ -290,7 +290,7 @@ TEST(Cluster, ComputationCacheServesRepeatedQueries) {
   ASSERT_TRUE(r2.ok());
   // Second run is a cache hit: no new network traffic.
   EXPECT_EQ(tc->network.bytes_received_by_root(), bytes_after_first);
-  EXPECT_EQ(tc->root->cache().Snapshot().hits, 1);
+  EXPECT_EQ(tc->root->cluster()->shared_cache().Snapshot().hits, 1);
   EXPECT_DOUBLE_EQ(r2.value().min, r1.value().min);
 }
 
@@ -315,14 +315,14 @@ TEST(Cluster, CacheKeysRandomizedSketchesBySeed) {
   auto r8 = tc->root->RunSketch<HistogramResult>("data", sketch, /*seed=*/8,
                                                  /*cacheable=*/true);
   ASSERT_TRUE(r8.ok());
-  EXPECT_EQ(tc->root->cache().Snapshot().entries, 2u);
-  EXPECT_EQ(tc->root->cache().Snapshot().hits, 0);
+  EXPECT_EQ(tc->root->cluster()->shared_cache().Snapshot().entries, 2u);
+  EXPECT_EQ(tc->root->cluster()->shared_cache().Snapshot().hits, 0);
 
   // A repeat of seed 7 hits the cache and returns the seed-7 summary.
   auto again = tc->root->RunSketch<HistogramResult>("data", sketch, /*seed=*/7,
                                                     /*cacheable=*/true);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(tc->root->cache().Snapshot().hits, 1);
+  EXPECT_EQ(tc->root->cluster()->shared_cache().Snapshot().hits, 1);
   EXPECT_EQ(again.value().counts, r7.value().counts);
 }
 
@@ -423,7 +423,7 @@ TEST(Cluster, ProgressiveStreamDeliversPartials) {
     partitions.push_back(MakeDoubleTable("x", chunk));
   }
   // Zero aggregation window so every worker completion propagates.
-  RootSession::Options options;
+  cluster::Cluster::Options options;
   options.aggregation.aggregation_window_ms = 0;
   std::vector<cluster::WorkerPtr> workers;
   for (int w = 0; w < 4; ++w) {

@@ -53,7 +53,7 @@ struct MultiTenant {
 
   static std::unique_ptr<MultiTenant> Create(
       const std::vector<TablePtr>& partitions, int num_sessions,
-      RootSession::Options options = {},
+      Cluster::Options options = {},
       SimulatedNetwork::Model net_model = {}) {
     auto mt = std::make_unique<MultiTenant>();
     mt->network.set_model(net_model);
@@ -80,8 +80,8 @@ struct MultiTenant {
 /// Chaos-style options: deadlines on (muted workers settle as
 /// kDeadlineExceeded through the simulation, not the wall clock), zero
 /// backoff, non-progressive root aggregation.
-RootSession::Options FaultOptions() {
-  RootSession::Options options;
+Cluster::Options FaultOptions() {
+  Cluster::Options options;
   options.aggregation.aggregation_window_ms = 0;
   options.rpc.deadline_ms = 5000;
   options.rpc.max_retries = 4;
@@ -118,7 +118,8 @@ TEST(Session, ClusterHandsOutDistinctSessionIds) {
   EXPECT_EQ(mt->sessions[2]->session_id(), 2);
   EXPECT_EQ(mt->cluster->sessions_opened(), 3);
   // All sessions share the cluster substrate.
-  EXPECT_EQ(&mt->sessions[0]->cache(), &mt->sessions[1]->cache());
+  EXPECT_EQ(&mt->sessions[0]->cluster()->shared_cache(),
+            &mt->sessions[1]->cluster()->shared_cache());
   EXPECT_EQ(&mt->sessions[0]->health(), &mt->sessions[2]->health());
 }
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -292,6 +294,59 @@ TEST(SortKeyCache, WaitersAdoptBuildsTooLargeToCache) {
   }
   EXPECT_EQ(cache.Snapshot().entries, 0u);  // still uncacheable
   EXPECT_EQ(cache.Snapshot().coalesced_builds, kThreads - 1);
+}
+
+TEST(SortKeyCache, ThrowingBuilderHandsTheFlightToAWaiter) {
+  // The elected builder unwinds (an exception out of the key pass) while
+  // every other thread is parked on its flight. The flight must be released
+  // on the way out: the waiters re-elect, exactly one of them builds, and
+  // nobody is left parked.
+  TablePtr t = MakeTable(3000);
+  RecordOrder order({{"x", true}});
+  SortKeyCache cache;
+  constexpr int kThreads = 5;
+  std::atomic<int> builds{0};
+  std::atomic<bool> thrown{false};
+  cache.SetInFlightHookForTest([&] {
+    builds.fetch_add(1);
+    if (thrown.exchange(true)) return;
+    while (cache.Snapshot().waiters < kThreads - 1) std::this_thread::yield();
+    throw std::runtime_error("key pass failed");
+  });
+  std::atomic<int> failures{0};
+  std::vector<SortKeyCache::KeysPtr> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      SortKeyPlan plan(*t, order, SortKeyPlan::kDeferKeys);
+      try {
+        results[i] = cache.GetOrBuild(plan, /*build_allowed=*/true);
+      } catch (const std::runtime_error&) {
+        failures.fetch_add(1);
+        // Stay out of the re-election so a parked waiter must take over,
+        // then ask again once its build has landed.
+        while (cache.Snapshot().entries == 0) std::this_thread::yield();
+        SortKeyPlan retry(*t, order, SortKeyPlan::kDeferKeys);
+        results[i] = cache.GetOrBuild(retry, /*build_allowed=*/true);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(failures.load(), 1);
+  EXPECT_EQ(builds.load(), 2);  // the failed build plus exactly one rebuild
+  ASSERT_NE(results[0], nullptr);
+  for (int i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(results[i].get(), results[0].get()) << "thread " << i;
+  }
+  const SortKeyCache::Stats stats = cache.Snapshot();
+  EXPECT_EQ(stats.waiters, 0);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.misses, kThreads);  // one per thread's first lookup
+  // Every thread but the rebuilder is served: the remaining waiters adopt
+  // the rebuild (or find it cached), and the failed thread's retry hits.
+  EXPECT_EQ(stats.hits, kThreads - 1);
 }
 
 TEST(SortKeyCache, GetOrBuildWithoutPermissionOrFlightReturnsNull) {

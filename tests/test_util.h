@@ -73,7 +73,7 @@ struct TestCluster {
   static std::unique_ptr<TestCluster> Create(
       const std::vector<TablePtr>& partitions, int num_workers = 2,
       int threads_per_worker = 2,
-      cluster::RootSession::Options root_options = {},
+      cluster::Cluster::Options root_options = {},
       ParallelDataSet::Options worker_aggregation = {}) {
     auto tc = std::make_unique<TestCluster>();
     for (int w = 0; w < num_workers; ++w) {

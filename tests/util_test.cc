@@ -2,10 +2,15 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "util/random.h"
 #include "util/serialize.h"
+#include "util/single_flight_lru.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -259,6 +264,136 @@ TEST(ThreadPool, ShutdownIsIdempotent) {
   pool.Submit([] {});
   pool.Shutdown();
   pool.Shutdown();
+}
+
+using StringLru = SingleFlightLru<std::string>;
+
+/// Parks until `cache` has `n` waiters on flights.
+void AwaitWaiters(const StringLru& cache, int64_t n) {
+  while (cache.Snapshot().waiters < n) std::this_thread::yield();
+}
+
+TEST(SingleFlightLru, CostBudgetEvictsLeastRecentlyUsed) {
+  StringLru cache(10, [](const std::string& v) { return v.size(); });
+  cache.Insert("a", "aaaa");
+  cache.Insert("b", "bbbb");
+  EXPECT_TRUE(cache.Get("a").has_value());  // "b" becomes the LRU victim
+  cache.Insert("c", "cccc");
+  EXPECT_FALSE(cache.Get("b").has_value());
+  EXPECT_EQ(*cache.Get("a"), "aaaa");
+  EXPECT_EQ(cache.Snapshot().cost, 8u);
+  EXPECT_EQ(cache.Snapshot().evictions, 1);
+  // A value costing more than the whole budget is never inserted.
+  cache.Insert("d", std::string(11, 'd'));
+  EXPECT_FALSE(cache.Get("d").has_value());
+  EXPECT_EQ(cache.Snapshot().entries, 2u);
+  // Replacing an entry re-costs it.
+  cache.Insert("a", "a");
+  EXPECT_EQ(cache.Snapshot().cost, 5u);
+}
+
+TEST(SingleFlightLru, ClearFencesInsertsBegunBeforeIt) {
+  StringLru cache(4);
+  const uint64_t generation = cache.generation();
+  auto lookup = cache.GetOrBegin("k");
+  ASSERT_TRUE(lookup.flight.owner());
+  cache.Clear();
+  cache.Insert("j", "stale", generation);
+  lookup.flight.Publish("stale");
+  EXPECT_EQ(cache.Snapshot().entries, 0u);
+  cache.Insert("j", "fresh", cache.generation());
+  EXPECT_EQ(*cache.Get("j"), "fresh");
+}
+
+TEST(SingleFlightLru, WaitersTakeAnOversizeValueFromTheFlight) {
+  StringLru cache(2, [](const std::string& v) { return v.size(); });
+  auto lookup = cache.GetOrBegin("k");
+  ASSERT_TRUE(lookup.flight.owner());
+  StringLru::Lookup waited;
+  std::thread waiter([&] { waited = cache.GetOrBegin("k"); });
+  AwaitWaiters(cache, 1);
+  lookup.flight.Publish("too large to cache");
+  waiter.join();
+  ASSERT_TRUE(waited.value.has_value());
+  EXPECT_EQ(*waited.value, "too large to cache");
+  EXPECT_TRUE(waited.coalesced);
+  EXPECT_FALSE(waited.flight.owner());
+  EXPECT_EQ(cache.Snapshot().entries, 0u);
+  EXPECT_EQ(cache.Snapshot().coalesced, 1);
+  EXPECT_EQ(cache.Snapshot().waiters, 0);
+}
+
+TEST(SingleFlightLru, EmptySettleReelectsAWaiter) {
+  StringLru cache(4);
+  auto lookup = cache.GetOrBegin("k");
+  ASSERT_TRUE(lookup.flight.owner());
+  StringLru::Lookup waited;
+  std::thread waiter([&] { waited = cache.GetOrBegin("k"); });
+  AwaitWaiters(cache, 1);
+  lookup.flight = StringLru::Flight();  // dropped unpublished: settles empty
+  waiter.join();
+  EXPECT_FALSE(waited.value.has_value());
+  ASSERT_TRUE(waited.flight.owner());  // the waiter is the next owner
+  waited.flight.Publish("v");
+  EXPECT_EQ(*cache.Get("k"), "v");
+  const auto stats = cache.Snapshot();
+  EXPECT_EQ(stats.elections, 2);
+  EXPECT_EQ(stats.flight_misses, 2);
+  EXPECT_EQ(stats.coalesced, 0);
+}
+
+TEST(SingleFlightLru, MayNotWaitNeverParksOrElects) {
+  StringLru cache(4);
+  auto none = cache.GetOrBegin("k", /*may_wait=*/false);
+  EXPECT_FALSE(none.value.has_value());
+  EXPECT_FALSE(none.flight.owner());
+  auto lookup = cache.GetOrBegin("k");
+  ASSERT_TRUE(lookup.flight.owner());
+  auto busy = cache.GetOrBegin("k", /*may_wait=*/false);  // returns at once
+  EXPECT_FALSE(busy.value.has_value());
+  EXPECT_FALSE(busy.flight.owner());
+  lookup.flight.Publish("v");
+  EXPECT_EQ(*cache.GetOrBegin("k", /*may_wait=*/false).value, "v");
+  EXPECT_EQ(cache.Snapshot().elections, 1);
+  EXPECT_EQ(cache.Snapshot().flight_misses, 3);
+}
+
+TEST(SingleFlightLru, FlightHandleSettlesOnUnwind) {
+  StringLru cache(4);
+  try {
+    auto lookup = cache.GetOrBegin("k");
+    ASSERT_TRUE(lookup.flight.owner());
+    throw std::runtime_error("build failed");
+  } catch (const std::runtime_error&) {
+  }
+  // The flight was released, so the next caller is elected, not parked.
+  auto again = cache.GetOrBegin("k");
+  EXPECT_TRUE(again.flight.owner());
+  EXPECT_EQ(cache.Snapshot().elections, 2);
+}
+
+TEST(SingleFlightLru, DeadEntriesAreDroppedAndSwept) {
+  using WeakLru = SingleFlightLru<std::weak_ptr<int>>;
+  WeakLru cache(8, nullptr,
+                [](const std::weak_ptr<int>& v) { return !v.expired(); });
+  auto alive = std::make_shared<int>(1);
+  auto doomed = std::make_shared<int>(2);
+  cache.Insert("alive", alive);
+  cache.Insert("doomed", doomed);
+  doomed.reset();
+  EXPECT_FALSE(cache.Get("doomed").has_value());  // dropped on lookup
+  EXPECT_EQ(cache.Snapshot().evictions, 1);
+  auto later = std::make_shared<int>(3);
+  cache.Insert("later", later);
+  later.reset();
+  auto fresh = std::make_shared<int>(4);
+  cache.Insert("fresh", fresh);  // sweeps "later" out of the budget
+  const auto stats = cache.Snapshot();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 2);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_TRUE(cache.Get("alive").has_value());
+  EXPECT_TRUE(cache.Get("fresh").has_value());
 }
 
 }  // namespace

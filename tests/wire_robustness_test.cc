@@ -167,10 +167,9 @@ TEST(WireRobustness, QuantileWeighted) {
   EXPECT_DOUBLE_EQ(out.error.variance, q.error.variance);
 }
 
-TEST(WireRobustness, QuantileLegacyUnitWeightPayloadStillDeserializes) {
-  // The pre-KLL wire format: key count, keys, rate, max_size — no magic, no
-  // weights, no seed, no error ledger. A rolling upgrade must still accept
-  // it (as an all-unit-weight summary).
+TEST(WireRobustness, QuantilePayloadWithoutMagicIsRejected) {
+  // The pre-KLL layout (key count, keys, rate, max_size — no magic word) is
+  // not a format any writer produces, so it must not parse as one.
   ByteWriter w;
   w.WriteU32(2);
   w.WriteU32(1);
@@ -183,21 +182,9 @@ TEST(WireRobustness, QuantileLegacyUnitWeightPayloadStillDeserializes) {
 
   ByteReader r(bytes);
   QuantileResult out;
-  ASSERT_TRUE(QuantileResult::Deserialize(&r, &out).ok());
-  EXPECT_TRUE(r.AtEnd());
-  ASSERT_EQ(out.keys.size(), 2u);
-  EXPECT_EQ(out.weights, (std::vector<uint64_t>{1, 1}));
-  EXPECT_DOUBLE_EQ(out.rate, 0.125);
-  EXPECT_EQ(out.max_size, 64);
-  EXPECT_EQ(out.TotalWeight(), 2u);
-
-  // Legacy truncations must still error at every prefix.
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    ByteReader prefix(bytes.data(), len);
-    QuantileResult garbage;
-    EXPECT_FALSE(QuantileResult::Deserialize(&prefix, &garbage).ok())
-        << "legacy payload parsed OK truncated to " << len;
-  }
+  Status st = QuantileResult::Deserialize(&r, &out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
 /// Serializes a syntactically well-formed weighted quantile payload with
@@ -249,13 +236,13 @@ TEST(WireRobustness, QuantileRejectsHostileScalars) {
                                /*error_worst=*/uint64_t{1} << 63),
          "error ledger over the 2^44 cap");
 
-  // The same scalar guards apply to legacy payloads.
+  // A payload without the magic word is rejected before any scalar is read.
   ByteWriter w;
-  w.WriteU32(0);            // zero keys
+  w.WriteU32(0);            // zero keys, no magic
   w.WriteDouble(nan);       // hostile rate
   w.WriteI32(8);
-  std::vector<uint8_t> legacy = w.Take();
-  ByteReader r(legacy);
+  std::vector<uint8_t> unmarked = w.Take();
+  ByteReader r(unmarked);
   QuantileResult out;
   Status st = QuantileResult::Deserialize(&r, &out);
   ASSERT_FALSE(st.ok());
