@@ -3,8 +3,9 @@
 // one simulated deployment shape:
 //
 //   baseline   — fault-free query latency (the yardstick)
-//   restart    — a worker crash-restarts before each query; the query heals
-//                by redo-log replay (§5.7) and pays the replay + rerun
+//   restart    — a worker crash-restarts before each query; its edge rebuilds
+//                that worker's copy from the redo log (§5.7) and reloads
+//                only its partitions, inside the one query attempt
 //   rpc-drop   — one worker's first summary is dropped in transit; the
 //                per-RPC deadline + retry layer heals below the query level
 //   muted      — one worker is muted for good: the first query burns its
@@ -137,7 +138,7 @@ void Run() {
               stats.coverage, "-");
 
   // Restart recovery: a rotating worker crashes before each query; the
-  // query heals via redo-log replay.
+  // query heals at that worker's edge via redo-log replay.
   times.clear();
   int replay_heals = 0;
   for (int r = 0; r < kRuns; ++r) {

@@ -54,9 +54,10 @@ int main() {
               workers[1]->name().c_str());
   root.RestartWorker(1);
 
-  // The same query heals transparently: the root notices the missing soft
-  // state (Unavailable), replays its redo log, and retries. The sampled
-  // seeds in the log make randomized vizketches reproducible.
+  // The same query heals transparently: the edge to worker 1 notices the
+  // missing soft state and replays, from the redo log, only the operations
+  // that produced it, on worker 1 alone. The sampled seeds in the log make
+  // randomized vizketches reproducible.
   // Force recomputation rather than a cache hit.
   root.cluster()->shared_cache().Clear();
   auto after = with_ratio.value().ColumnRange("DelayRatio");

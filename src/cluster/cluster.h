@@ -49,9 +49,6 @@ class Cluster {
  public:
   struct Options {
     ParallelDataSet::Options aggregation;
-    /// Attempts after an Unavailable failure (each preceded by a full
-    /// redo-log replay).
-    int max_replay_retries = 2;
     /// Query-level retries after a kDeadlineExceeded failure (on top of the
     /// per-RPC retries the remote edge already performed).
     int max_transport_retries = 3;

@@ -46,13 +46,6 @@ double BackoffMs(const SketchOptions::RpcPolicy& rpc, uint64_t seed,
   return ms * (0.5 + 0.5 * rng.NextDouble());
 }
 
-/// True for statuses the retry layer may act on by re-running the sketch.
-/// Only deadline misses retry *here*; Unavailable means soft state is gone
-/// and must heal via the root's redo-log replay instead.
-bool IsDeadline(const Status& s) {
-  return s.code() == StatusCode::kDeadlineExceeded;
-}
-
 /// One remote sketch RPC with deadline + bounded retry. Each attempt gets an
 /// epoch number; events from a superseded attempt (late partials of a timed-
 /// out run) are rejected by epoch so the output stream only ever sees one
@@ -66,13 +59,14 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
  public:
   RpcDriver(WorkerPtr worker, std::string dataset_id,
             SimulatedNetwork* network, int worker_index, WorkerHealth* health,
-            AnySketch sketch, SketchOptions options,
-            StreamPtr<PartialResult<AnySummary>> out)
+            RemoteDataSet::Heal heal, AnySketch sketch,
+            SketchOptions options, StreamPtr<PartialResult<AnySummary>> out)
       : worker_(std::move(worker)),
         dataset_id_(std::move(dataset_id)),
         network_(network),
         worker_index_(worker_index),
         health_(health),
+        heal_(std::move(heal)),
         sketch_(std::move(sketch)),
         options_(std::move(options)),
         out_(std::move(out)) {}
@@ -109,10 +103,10 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
     // twice on the worker would double simulated work but return identical
     // bytes, so the model delivers it once.
 
-    auto dataset = worker_->GetDataSet(dataset_id_);
+    // The attempt runs on the returned pointer, which a restart landing
+    // after the heal cannot take away.
+    auto dataset = heal_(dataset_id_);
     if (!dataset.ok()) {
-      // Soft state is gone (worker restarted): not retriable here — only
-      // redo-log replay at the root can rebuild the dataset.
       SettleAttempt(epoch, dataset.status());
       return;
     }
@@ -220,7 +214,10 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
     {
       MutexLock lock(mutex_);
       if (epoch != attempt_ || settled_) return;
-      if (IsDeadline(status) && attempt_ < options_.rpc.max_retries) {
+      // Only deadline misses retry: lost soft state heals inside the
+      // attempt, so re-running cannot fix any other failure.
+      if (status.code() == StatusCode::kDeadlineExceeded &&
+          attempt_ < options_.rpc.max_retries) {
         ++attempt_;
         saw_final_ = false;
         attempt_watch_.Restart();
@@ -255,12 +252,10 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
         // would poison health with client-side churn. Cancellation is
         // health-neutral.
       } else {
-        // Any response — including Unavailable (soft state lost after a
-        // crash, healable by replay) or an application error — proves the
-        // worker is alive. Counting healable Unavailable as breaker failure
-        // would trip the circuit on a worker that replay is about to fix,
-        // and a half-open probe answered with Unavailable must still close
-        // the breaker or every later request fast-fails forever.
+        // Any response — including Unavailable (soft state the redo log
+        // could not rebuild) or an application error — proves the worker is
+        // alive. A half-open probe answered with Unavailable must still
+        // close the breaker or every later request fast-fails forever.
         health_->RecordSuccess(worker_index_);
       }
     }
@@ -272,6 +267,7 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
   SimulatedNetwork* network_;
   const int worker_index_;
   WorkerHealth* health_;
+  const RemoteDataSet::Heal heal_;
   const AnySketch sketch_;
   const SketchOptions options_;
   StreamPtr<PartialResult<AnySummary>> out_;
@@ -297,15 +293,14 @@ StreamPtr<PartialResult<AnySummary>> RemoteDataSet::RunSketch(
   if (health_ != nullptr && worker_index_ >= 0 &&
       !health_->AllowRequest(worker_index_)) {
     // Circuit open: fast-fail without burning the deadline+retry budget on a
-    // known-dead worker. Unavailable keeps the healing semantics — replay
-    // can still resurrect it, and a degraded merger counts it as lost.
+    // known-dead worker. A degraded merger counts it as lost.
     out->OnComplete(Status::Unavailable(
         "worker " + worker_->name() + ": circuit breaker open"));
     return out;
   }
   auto driver = std::make_shared<RpcDriver>(worker_, dataset_id_, network_,
-                                            worker_index_, health_, sketch,
-                                            options, out);
+                                            worker_index_, health_, heal_,
+                                            sketch, options, out);
   driver->Start();
   return out;
 }
@@ -313,18 +308,25 @@ StreamPtr<PartialResult<AnySummary>> RemoteDataSet::RunSketch(
 DataSetPtr RemoteDataSet::Map(TableMap map, const std::string& op_name) {
   network_->SendDown(kRequestOverheadBytes + op_name.size(), worker_index_);
   std::string new_id = dataset_id_ + "/" + op_name;
-  Status s = worker_->ApplyMap(dataset_id_, new_id, std::move(map), op_name);
-  // A failed remote map still returns a proxy; the error surfaces as
-  // Unavailable on first use and is healed by redo-log replay. The worker
-  // records the dropped status so fault-injection tests can assert this
-  // path fired instead of silently losing the failure.
-  if (!s.ok()) worker_->RecordDroppedMapFailure(s);
+  auto parent = worker_->GetDataSet(dataset_id_);
+  if (parent.ok()) {
+    worker_->Install(new_id, parent.value()->Map(std::move(map), op_name),
+                     /*replace=*/true);
+  } else {
+    // A failed remote map still returns a proxy; the error surfaces as
+    // Unavailable on first use (nothing logged rebuilds the derived id). The
+    // worker records the dropped status so fault-injection tests can assert
+    // this path fired instead of silently losing the failure.
+    worker_->RecordDroppedMapFailure(parent.status());
+  }
   return std::make_shared<RemoteDataSet>(worker_, new_id, network_,
-                                         worker_index_, health_);
+                                         worker_index_, health_, heal_);
 }
 
 int RemoteDataSet::NumPartitions() const {
-  auto dataset = worker_->GetDataSet(dataset_id_);
+  // Healing here matters for exact coverage: the root merger weighs each
+  // worker by its partition count before any attempt runs.
+  auto dataset = heal_(dataset_id_);
   if (!dataset.ok()) return 1;
   return dataset.value()->NumPartitions();
 }

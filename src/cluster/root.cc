@@ -1,6 +1,7 @@
 #include "cluster/root.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <thread>
 
@@ -10,14 +11,6 @@ namespace hillview {
 namespace cluster {
 
 namespace {
-
-/// Retriable at the query level: soft-state loss (heals via replay) and
-/// transport/deadline faults (heal via re-running the pure sketch). Anything
-/// else — including Cancelled — is final and fails the query immediately.
-bool Retriable(const Status& s) {
-  return s.code() == StatusCode::kUnavailable ||
-         s.code() == StatusCode::kDeadlineExceeded;
-}
 
 /// Query-level backoff before transport retry `retry` (1-based): capped
 /// exponential scaled by deterministic seeded jitter in [0.5, 1.0)x — the
@@ -32,34 +25,54 @@ double QueryBackoffMs(const SketchOptions::RpcPolicy& rpc, uint64_t seed,
   return ms * (0.5 + 0.5 * rng.NextDouble());
 }
 
+/// Worker w's copy of `id`. If the worker lost it, lazy replay (§5.7)
+/// rebuilds just that copy from the log and installs it unless a racing
+/// healer installed one first; `heals` (may be null) counts the rebuild.
+Result<DataSetPtr> GetOrHeal(RedoLog& log, const WorkerPtr& worker, int w,
+                             const std::string& id, std::atomic<int>* heals) {
+  Result<DataSetPtr> present = worker->GetDataSet(id);
+  if (present.ok()) return present;
+  HV_ASSIGN_OR_RETURN(DataSetPtr built, log.Rebuild(id, w));
+  if (heals != nullptr) heals->fetch_add(1);
+  return worker->Install(id, std::move(built), /*replace=*/false);
+}
+
+/// First execution of a logged operation: runs its builder once per worker
+/// and installs each copy over whatever the worker holds under `id`.
+Status BuildEverywhere(const std::vector<WorkerPtr>& workers,
+                       const std::string& id, const RedoLog::Builder& build) {
+  for (size_t w = 0; w < workers.size(); ++w) {
+    HV_ASSIGN_OR_RETURN(DataSetPtr built, build(static_cast<int>(w)));
+    workers[w]->Install(id, std::move(built), /*replace=*/true);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status RootSession::LoadDataSet(
     const std::string& dataset_id,
     std::vector<LocalDataSet::Loader> partition_loaders) {
-  auto do_register = [this, dataset_id, partition_loaders]() -> Status {
-    const std::vector<WorkerPtr>& ws = cluster_->workers();
-    // Round-robin partition assignment: the paper allows arbitrary
-    // horizontal partitioning (§2), so placement needs no keying.
-    std::vector<std::vector<std::shared_ptr<LocalDataSet>>> per_worker(
-        ws.size());
-    for (size_t p = 0; p < partition_loaders.size(); ++p) {
-      size_t w = p % ws.size();
-      per_worker[w].push_back(LocalDataSet::FromLoader(
+  const std::vector<WorkerPtr>& workers = cluster_->workers();
+  // Round-robin partition assignment: the paper allows arbitrary horizontal
+  // partitioning (§2), so placement needs no keying. Worker w hosts
+  // partitions w, w + n, w + 2n, ...
+  RedoLog::Builder build = [workers, dataset_id,
+                            partition_loaders](int w) -> Result<DataSetPtr> {
+    std::vector<DataSetPtr> partitions;
+    for (size_t p = static_cast<size_t>(w); p < partition_loaders.size();
+         p += workers.size()) {
+      partitions.push_back(LocalDataSet::FromLoader(
           dataset_id + "[" + std::to_string(p) + "]", partition_loaders[p]));
     }
-    for (size_t w = 0; w < ws.size(); ++w) {
-      HV_RETURN_IF_ERROR(
-          ws[w]->RegisterBase(dataset_id, std::move(per_worker[w])));
-    }
-    return Status::OK();
+    return workers[w]->MakeBase(dataset_id, std::move(partitions));
   };
-  HV_RETURN_IF_ERROR(do_register());
-  redo_log_.Append("load",
-                   dataset_id + " (" +
-                       std::to_string(partition_loaders.size()) +
-                       " partitions)",
-                   0, do_register);
+  HV_RETURN_IF_ERROR(BuildEverywhere(workers, dataset_id, build));
+  redo_log_->Append("load",
+                    dataset_id + " (" +
+                        std::to_string(partition_loaders.size()) +
+                        " partitions)",
+                    0, dataset_id, std::move(build));
   return Status::OK();
 }
 
@@ -67,35 +80,48 @@ Result<std::string> RootSession::MapDataSet(const std::string& parent_id,
                                             TableMap map,
                                             const std::string& op_name) {
   std::string new_id = parent_id + "/" + op_name;
-  auto do_map = [this, parent_id, new_id, map, op_name]() -> Status {
-    for (const auto& worker : cluster_->workers()) {
-      HV_RETURN_IF_ERROR(worker->ApplyMap(parent_id, new_id, map, op_name));
-    }
-    return Status::OK();
+  const std::vector<WorkerPtr>& workers = cluster_->workers();
+  // The raw log pointer is safe: the builder lives in that log and only
+  // runs through it (or right below, while the session is alive).
+  RedoLog::Builder build = [log = redo_log_.get(), workers, parent_id, map,
+                            op_name](int w) -> Result<DataSetPtr> {
+    HV_ASSIGN_OR_RETURN(DataSetPtr parent,
+                        GetOrHeal(*log, workers[w], w, parent_id, nullptr));
+    return parent->Map(map, op_name);
   };
-  HV_RETURN_IF_ERROR(do_map());
-  redo_log_.Append("map", parent_id + " -> " + new_id, 0, do_map);
+  HV_RETURN_IF_ERROR(BuildEverywhere(workers, new_id, build));
+  redo_log_->Append("map", parent_id + " -> " + new_id, 0, new_id,
+                    std::move(build));
   return new_id;
 }
 
 DataSetPtr RootSession::GetRootDataSet(const std::string& dataset_id) {
   return BuildRootDataSet(
-      dataset_id, cluster_->options().aggregation.tolerate_child_failures);
+      dataset_id, cluster_->options().aggregation.tolerate_child_failures,
+      /*heals=*/nullptr);
 }
 
 DataSetPtr RootSession::BuildRootDataSet(const std::string& dataset_id,
-                                         bool tolerant) {
+                                         bool tolerant, HealCounter heals) {
   const std::vector<WorkerPtr>& workers = cluster_->workers();
   std::vector<DataSetPtr> children;
   children.reserve(workers.size());
   for (size_t w = 0; w < workers.size(); ++w) {
+    // The edge heals lost soft state itself. A straggler attempt may heal
+    // after this session is gone, so the heal shares the log and the worker
+    // rather than pointing at the session.
+    RemoteDataSet::Heal heal = [log = redo_log_, worker = workers[w],
+                                index = static_cast<int>(w),
+                                heals](const std::string& id) {
+      return GetOrHeal(*log, worker, index, id, heals.get());
+    };
     // Every machine-boundary edge knows its worker index (the fault-injection
     // channel id) and reports RPC outcomes to the shared health tracker, so
     // the breaker learns from all sessions' traffic regardless of degraded
     // mode.
     children.push_back(std::make_shared<RemoteDataSet>(
         workers[w], dataset_id, cluster_->network(), static_cast<int>(w),
-        &cluster_->health()));
+        &cluster_->health(), std::move(heal)));
   }
   ParallelDataSet::Options aggregation = cluster_->options().aggregation;
   aggregation.tolerate_child_failures =
@@ -158,22 +184,26 @@ Result<AnySummary> RootSession::RunErased(const std::string& dataset_id,
     }
   }
 
-  redo_log_.Append("sketch", dataset_id + "#" + sketch.name(), seed);
+  redo_log_->Append("sketch", dataset_id + "#" + sketch.name(), seed);
 
   // The attempt loop runs inside a scheduler grant: admission control may
   // shed it (Unavailable) or the render may be superseded while queued
   // (Cancelled) — in both cases the query never executes.
   const SimulatedNetwork::SessionTraffic before =
       cluster_->network()->SessionSnapshot(session_id_);
+  // Counts the edges' heals; a straggler attempt may still count after the
+  // query returned, into a counter nobody reads.
+  auto heals = std::make_shared<std::atomic<int>>(0);
   Result<AnySummary> outcome = Status::Internal("query did not run");
   bool ran = false;
   Status scheduled = cluster_->scheduler().Execute(
       session_id_, token,
       [&]() -> Status {
-        outcome = RunAttempts(dataset_id, sketch, seed, token, &q);
+        outcome = RunAttempts(dataset_id, sketch, seed, token, heals, &q);
         return outcome.status();
       },
       &ran);
+  q.replay_heals = heals->load();
   if (!ran) return scheduled;
 
   // Charge the root-received bytes this query moved to the session's DRR
@@ -198,23 +228,19 @@ Result<AnySummary> RootSession::RunAttempts(const std::string& dataset_id,
                                             const AnySketch& sketch,
                                             uint64_t seed,
                                             const CancellationTokenPtr& token,
+                                            const HealCounter& heals,
                                             QueryStats* stats) {
   QueryStats& q = *stats;
   const Cluster::Options& opts = cluster_->options();
   WorkerHealth& health = cluster_->health();
 
   Status last_error = Status::OK();
-  int replay_attempts = 0;
-  int transport_retries = 0;
   bool degraded_pass = false;
-  // Total attempts: the first run, every healing retry, plus the one final
+  // Total attempts: the first run, every transport retry, plus the one final
   // degraded pass.
-  const int max_attempts =
-      1 + opts.max_replay_retries + opts.max_transport_retries + 1;
+  const int max_attempts = 1 + opts.max_transport_retries + 1;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     if (token != nullptr && token->IsCancelled()) {
-      q.replay_heals = replay_attempts;
-      q.transport_retries = transport_retries;
       return Status::Cancelled("render superseded");
     }
     // Degrade as soon as a breaker is open: the breaker's verdict is the
@@ -223,7 +249,7 @@ Result<AnySummary> RootSession::RunAttempts(const std::string& dataset_id,
     // also tolerates losses regardless of breaker state.
     const bool tolerant =
         degraded_pass || (opts.allow_degraded && health.AnyOpen());
-    DataSetPtr root = BuildRootDataSet(dataset_id, tolerant);
+    DataSetPtr root = BuildRootDataSet(dataset_id, tolerant, heals);
     SketchOptions options;
     options.seed = seed;
     options.rpc = opts.rpc;
@@ -255,8 +281,6 @@ Result<AnySummary> RootSession::RunAttempts(const std::string& dataset_id,
       // Superseded mid-flight: abandon the stream (stragglers complete into
       // a stream nobody reads) and settle immediately — the whole point of
       // generation-tagged cancellation is not waiting out slow renders.
-      q.replay_heals = replay_attempts;
-      q.transport_retries = transport_retries;
       return Status::Cancelled("render superseded");
     }
     Status status = backstop_fired
@@ -270,58 +294,34 @@ Result<AnySummary> RootSession::RunAttempts(const std::string& dataset_id,
       }
       q.coverage = last->coverage;
       q.degraded = last->coverage < 1.0;
-      q.replay_heals = replay_attempts;
-      q.transport_retries = transport_retries;
       return last->value;
     }
     last_error = status;
-    if (!Retriable(status)) break;
-
-    if (status.code() == StatusCode::kUnavailable &&
-        replay_attempts < opts.max_replay_retries) {
-      // Lazy replay (§5.7): re-execute the logged operations to rebuild the
-      // missing soft state, then retry the query.
-      ++replay_attempts;
-      Status replayed = redo_log_.ReplayAll();
-      if (!replayed.ok()) {
-        if (!Retriable(replayed)) {
-          q.replay_heals = replay_attempts;
-          q.transport_retries = transport_retries;
-          return replayed;
-        }
-        // The replay itself hit soft-state loss or a transport fault (e.g.
-        // a worker died again mid-heal): that is just another failure of
-        // this attempt. It already consumed a slot in the replay budget;
-        // loop and heal again rather than giving up.
-        last_error = replayed;
-      }
-      if (retry_hook_) retry_hook_(attempt, status);
-      continue;
-    }
     if (status.code() == StatusCode::kDeadlineExceeded &&
-        transport_retries < opts.max_transport_retries) {
+        q.transport_retries < opts.max_transport_retries) {
       // Transport-level failure: the sketch is pure and seeded, so simply
       // re-running it is safe. Back off (capped, seeded jitter) first.
-      ++transport_retries;
-      const double backoff = QueryBackoffMs(opts.rpc, seed, transport_retries);
+      ++q.transport_retries;
+      const double backoff =
+          QueryBackoffMs(opts.rpc, seed, q.transport_retries);
       if (backoff > 0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(backoff));
       }
-      if (retry_hook_) retry_hook_(attempt, status);
       continue;
     }
-    if (!degraded_pass && opts.allow_degraded) {
-      // Every healing budget is spent. Last resort: accept losing the dead
-      // workers and complete over the survivors, marking the coverage.
+    // Last resort: accept losing the dead workers and complete over the
+    // survivors, marking the coverage. Lost soft state already healed at the
+    // edge, so an Unavailable here is a worker the breaker fast-failed or a
+    // dataset the log cannot rebuild.
+    if ((status.code() == StatusCode::kUnavailable ||
+         status.code() == StatusCode::kDeadlineExceeded) &&
+        !degraded_pass && opts.allow_degraded) {
       degraded_pass = true;
-      if (retry_hook_) retry_hook_(attempt, status);
       continue;
     }
     break;
   }
-  q.replay_heals = replay_attempts;
-  q.transport_retries = transport_retries;
   return last_error;
 }
 

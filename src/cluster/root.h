@@ -1,7 +1,7 @@
 #ifndef HILLVIEW_CLUSTER_ROOT_H_
 #define HILLVIEW_CLUSTER_ROOT_H_
 
-#include <functional>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -25,13 +25,15 @@ namespace cluster {
 /// Cluster and are shared by all sessions.
 ///
 /// Fault handling is layered by failure class (the three-tier contract):
-/// soft-state loss (kUnavailable) heals by redo-log replay; transport faults
-/// (kDeadlineExceeded, after the remote edge's own per-RPC retries) get
-/// bounded query-level retries with capped, seeded backoff; a worker that
-/// keeps failing trips its circuit breaker, after which queries degrade
-/// gracefully — the merge completes over the survivors and the result
-/// carries a coverage fraction instead of an error. Degraded results are
-/// never stored in the shared cache (and never served to another session).
+/// soft-state loss heals where it is noticed — an edge (RemoteDataSet) whose
+/// worker lost a dataset rebuilds just that copy from this session's redo
+/// log, for blocking queries and streams alike; transport faults
+/// (kDeadlineExceeded, after the edge's own per-RPC retries) get bounded
+/// query-level retries with capped, seeded backoff; a worker that keeps
+/// failing trips its circuit breaker, after which queries degrade gracefully
+/// — the merge completes over the survivors and the result carries a
+/// coverage fraction instead of an error. Degraded results are never stored
+/// in the shared cache (and never served to another session).
 ///
 /// Queries additionally pass through the cluster's QueryScheduler: admission
 /// control may shed them with Unavailable before they run, and deficit-
@@ -51,7 +53,7 @@ class RootSession {
   /// RunSketch / RunErased when the caller passes a stats out-param.
   struct QueryStats {
     double coverage = 1.0;     // partitions merged / total partitions
-    int replay_heals = 0;      // redo-log replays this query triggered
+    int replay_heals = 0;      // per-worker dataset rebuilds this query made
     int transport_retries = 0; // query-level deadline retries
     bool degraded = false;     // coverage < 1.0
     bool from_cache = false;   // served from the shared computation cache
@@ -59,8 +61,9 @@ class RootSession {
   };
 
   /// Registers a base dataset: `partition_loaders[i]` produces micropartition
-  /// i, assigned to worker i % num_workers. Logged: replay re-registers the
-  /// same loaders ("the recursion ends when data is read from disk").
+  /// i, assigned to worker i % num_workers, replacing any copy the workers
+  /// hold. Logged with a per-worker builder: healing re-registers one
+  /// worker's loaders ("the recursion ends when data is read from disk").
   /// Dataset ids are cluster-global: sessions loading the same id share the
   /// worker-side data and the shared cache's keyspace (by design — that is
   /// what makes cross-session cache hits possible).
@@ -69,7 +72,8 @@ class RootSession {
 
   /// Derives `<parent>/<op_name>` on every worker by a deterministic
   /// per-partition map (filtering / new columns, §5.6). Returns the derived
-  /// dataset id. Logged for replay.
+  /// dataset id. Logged with a per-worker builder that gets the parent on
+  /// that worker (rebuilding it if it is missing) and maps it.
   Result<std::string> MapDataSet(const std::string& parent_id, TableMap map,
                                  const std::string& op_name);
 
@@ -79,9 +83,9 @@ class RootSession {
 
   /// Runs a sketch to completion through the fair scheduler, with
   /// shared-cache lookup (when `cacheable`; identical concurrent queries are
-  /// single-flighted across sessions), Unavailable-healing replay, deadline
-  /// retries and — as a last resort — coverage-marked degradation. The seed
-  /// is logged. `stats` (optional) receives what the fault machinery did.
+  /// single-flighted across sessions), deadline retries and — as a last
+  /// resort — coverage-marked degradation. The seed is logged. `stats`
+  /// (optional) receives what the fault machinery did.
   /// `token` (optional, typically from BeginRender) cancels the query when
   /// its render is superseded; it then returns Status::Cancelled.
   template <typename R>
@@ -96,10 +100,11 @@ class RootSession {
     return summary.As<R>();
   }
 
-  /// Streaming variant (no replay healing — callers wanting progressive
-  /// updates resubscribe on failure). Streams bypass the scheduler's
-  /// admission/fairness queue: they are the interactive progressive path,
-  /// and their cost lands on the per-session byte counters regardless.
+  /// Streaming variant. Lost soft state heals at the edges as for RunSketch;
+  /// there are no query-level retries and no degraded pass. Streams bypass
+  /// the scheduler's admission/fairness queue: they are the interactive
+  /// progressive path, and their cost lands on the per-session byte counters
+  /// regardless.
   template <typename R>
   StreamPtr<PartialResult<R>> RunSketchStream(const std::string& dataset_id,
                                               SketchPtr<R> sketch,
@@ -110,7 +115,7 @@ class RootSession {
     options.seed = seed;
     options.cancellation = std::move(token);
     options.session_id = session_id_;
-    redo_log_.Append("sketch", dataset_id + "#" + sketch->name(), seed);
+    redo_log_->Append("sketch", dataset_id + "#" + sketch->name(), seed);
     return RunTypedSketch<R>(*root, std::move(sketch), options);
   }
 
@@ -130,18 +135,11 @@ class RootSession {
   /// Simulates a crash of worker `index` (drops all its soft state).
   void RestartWorker(int index) { cluster_->workers()[index]->Restart(); }
 
-  /// Hook fired just before each query retry (after the heal/backoff step),
-  /// with the 0-based attempt number that failed and its status. Tests use
-  /// it to crash workers *between* the retry attempts of one query.
-  void set_retry_hook(std::function<void(int, const Status&)> hook) {
-    retry_hook_ = std::move(hook);
-  }
-
   int session_id() const { return session_id_; }
   Cluster* cluster() { return cluster_; }
   int num_workers() const { return cluster_->num_workers(); }
   const std::vector<WorkerPtr>& workers() const { return cluster_->workers(); }
-  RedoLog& redo_log() { return redo_log_; }
+  RedoLog& redo_log() { return *redo_log_; }
   SimulatedNetwork* network() { return cluster_->network(); }
   WorkerHealth& health() { return cluster_->health(); }
 
@@ -156,16 +154,22 @@ class RootSession {
                                bool cacheable, CancellationTokenPtr token,
                                QueryStats* stats = nullptr);
 
-  /// The healing attempt loop (replay / backoff-retry / degraded pass), run
-  /// inside a scheduler grant.
+  /// Counts one query's edge heals; shared because the edges may outlive the
+  /// query.
+  using HealCounter = std::shared_ptr<std::atomic<int>>;
+
+  /// The attempt loop (backoff-retry / degraded pass), run inside a
+  /// scheduler grant.
   Result<AnySummary> RunAttempts(const std::string& dataset_id,
                                  const AnySketch& sketch, uint64_t seed,
                                  const CancellationTokenPtr& token,
-                                 QueryStats* q);
+                                 const HealCounter& heals, QueryStats* q);
 
   /// Execution tree with explicit degraded-mode choice; the public
-  /// GetRootDataSet builds the strict (configured) variant.
-  DataSetPtr BuildRootDataSet(const std::string& dataset_id, bool tolerant);
+  /// GetRootDataSet builds the strict (configured) variant. Each successful
+  /// edge heal increments `heals` (may be null).
+  DataSetPtr BuildRootDataSet(const std::string& dataset_id, bool tolerant,
+                              HealCounter heals);
 
   struct RenderState {
     int generation = 0;
@@ -174,8 +178,8 @@ class RootSession {
 
   Cluster* const cluster_;
   const int session_id_;
-  RedoLog redo_log_;
-  std::function<void(int, const Status&)> retry_hook_;
+  // Shared with the edges' heals, which may outlive the session.
+  const std::shared_ptr<RedoLog> redo_log_ = std::make_shared<RedoLog>();
   mutable Mutex render_mutex_;
   std::unordered_map<std::string, RenderState> renders_
       GUARDED_BY(render_mutex_);

@@ -3,34 +3,18 @@
 namespace hillview {
 namespace cluster {
 
-Status Worker::RegisterBase(
-    const std::string& dataset_id,
-    std::vector<std::shared_ptr<LocalDataSet>> partitions) {
-  std::vector<DataSetPtr> children(partitions.begin(), partitions.end());
-  auto dataset = std::make_shared<ParallelDataSet>(
-      name_ + "/" + dataset_id, std::move(children), &pool_, aggregation_);
-  MutexLock lock(mutex_);
-  datasets_[dataset_id] = std::move(dataset);
-  return Status::OK();
+DataSetPtr Worker::MakeBase(const std::string& dataset_id,
+                            std::vector<DataSetPtr> partitions) {
+  return std::make_shared<ParallelDataSet>(
+      name_ + "/" + dataset_id, std::move(partitions), &pool_, aggregation_);
 }
 
-Status Worker::ApplyMap(const std::string& parent_id,
-                        const std::string& new_id, TableMap map,
-                        const std::string& op_name) {
-  DataSetPtr parent;
-  {
-    MutexLock lock(mutex_);
-    auto it = datasets_.find(parent_id);
-    if (it == datasets_.end()) {
-      return Status::Unavailable("worker " + name_ + ": no dataset '" +
-                                 parent_id + "'");
-    }
-    parent = it->second;
-  }
-  DataSetPtr derived = parent->Map(std::move(map), op_name);
+DataSetPtr Worker::Install(const std::string& dataset_id, DataSetPtr dataset,
+                           bool replace) {
   MutexLock lock(mutex_);
-  datasets_[new_id] = std::move(derived);
-  return Status::OK();
+  DataSetPtr& slot = datasets_[dataset_id];
+  if (slot == nullptr || replace) slot = std::move(dataset);
+  return slot;
 }
 
 Result<DataSetPtr> Worker::GetDataSet(const std::string& dataset_id) {

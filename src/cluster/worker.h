@@ -18,7 +18,8 @@ namespace cluster {
 /// private thread pool (its "cores"). Workers are stateless in the paper's
 /// sense (§5.8): everything they hold is soft state reconstructible from the
 /// root's redo log, and Restart() models a crash-restart by dropping all of
-/// it.
+/// it. A missing dataset is rebuilt on demand, one worker at a time, by the
+/// machine-boundary edge that notices the loss (cluster::RemoteDataSet).
 class Worker {
  public:
   /// `aggregation` configures the worker's internal ParallelDataSet fan-out
@@ -57,19 +58,19 @@ class Worker {
   /// renders, degraded completions) cannot outlive what they touch.
   void Drain() { pool_.Wait(); }
 
-  /// Registers the worker's share of a base (repository-backed) dataset.
-  /// Partitions are micropartitions (§5.3); each becomes a leaf on this
-  /// worker's pool. Re-registering after a restart recreates the entry; the
-  /// underlying data reloads lazily from its loaders.
-  Status RegisterBase(const std::string& dataset_id,
-                      std::vector<std::shared_ptr<LocalDataSet>> partitions)
-      EXCLUDES(mutex_);
+  /// Wraps this worker's share of a base (repository-backed) dataset in its
+  /// local tree: the partitions are micropartitions (§5.3), each a leaf on
+  /// this worker's pool, whose data loads lazily from its loader. Nothing is
+  /// installed; see Install.
+  DataSetPtr MakeBase(const std::string& dataset_id,
+                      std::vector<DataSetPtr> partitions);
 
-  /// Derives `new_id` from `parent_id` by a per-partition map (§5.6). The
-  /// result is lazy soft state. Fails with Unavailable if the parent is gone
-  /// (e.g. after a restart) — the caller replays the redo log.
-  Status ApplyMap(const std::string& parent_id, const std::string& new_id,
-                  TableMap map, const std::string& op_name) EXCLUDES(mutex_);
+  /// Installs `dataset` under `dataset_id` and returns the copy now
+  /// installed. With `replace` (a fresh load or map) it supersedes any copy
+  /// already there; without it (a heal) an existing copy wins, so racing
+  /// healers of one loss share one copy.
+  DataSetPtr Install(const std::string& dataset_id, DataSetPtr dataset,
+                     bool replace) EXCLUDES(mutex_);
 
   /// The worker-local dataset tree for `dataset_id`, or Unavailable.
   Result<DataSetPtr> GetDataSet(const std::string& dataset_id)
@@ -88,8 +89,8 @@ class Worker {
 
   /// Records a map request whose failure status the caller had to drop
   /// (fire-and-forget remote maps): the error is expected to resurface as
-  /// Unavailable on first use and heal via redo-log replay, and this counter
-  /// lets fault-injection tests assert that path actually fired.
+  /// Unavailable on first use of the derived dataset, and this counter lets
+  /// fault-injection tests assert that path actually fired.
   void RecordDroppedMapFailure(const Status& status) EXCLUDES(mutex_);
   int64_t dropped_map_failures() const EXCLUDES(mutex_);
   std::string last_dropped_map_error() const EXCLUDES(mutex_);

@@ -138,8 +138,8 @@ struct Merger {
     if (total_weight <= 0) total_weight = 1;
   }
 
-  /// Faults degraded mode may absorb: soft-state loss (heals via replay)
-  /// and transport/deadline misses (heal via retry). Anything else —
+  /// Faults degraded mode may absorb: a lost worker or dataset
+  /// (Unavailable) and transport/deadline misses (heal via retry). Anything else —
   /// Cancelled, InvalidArgument, Internal — still fails the query strictly.
   static bool Tolerable(const Status& s) {
     return s.code() == StatusCode::kUnavailable ||
@@ -314,8 +314,8 @@ StreamPtr<PartialResult<AnySummary>> ParallelDataSet::RunSketch(
           });
       if (!submitted) {
         // A shut-down pool drops the task; completing the child here keeps
-        // the stream from hanging forever (the worker is going away, so
-        // Unavailable tells the root to replay elsewhere).
+        // the stream from hanging forever (the worker is going away, and a
+        // degraded merge counts it as lost).
         merger->Complete(child_index,
                          Status::Unavailable("worker pool shut down"));
       }

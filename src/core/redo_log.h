@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/dataset.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -23,23 +25,24 @@ struct RedoLogEntry {
 };
 
 /// The root node's redo log — "the only persistent data structure maintained
-/// by Hillview" (§5.7). Entries carry a replay closure used for lazy replay:
-/// when a soft-state object turns out to be gone, the root re-executes the
-/// operations that produced it, recursing until data is re-read from the
-/// repository.
+/// by Hillview" (§5.7). Entries that produce a dataset carry a per-worker
+/// builder keyed by the dataset id, used for lazy replay: when one worker's
+/// copy of a dataset turns out to be gone, Rebuild re-executes only the
+/// operation that produced it, on that worker, recursing through the parents
+/// until data is re-read from the repository.
 ///
-/// Thread-safe: the entry and replayer vectors are guarded by one annotated
-/// mutex; Replay copies the closures out and runs them unlocked (replayers
-/// re-enter the root, which appends to this same log).
+/// Thread-safe: entries, builders and counters are guarded by one annotated
+/// mutex; Rebuild copies the builder out and runs it unlocked (builders of
+/// derived datasets re-enter Rebuild for their parent).
 class RedoLog {
  public:
-  using Replayer = std::function<Status()>;
+  /// Builds worker `worker`'s copy of the dataset an entry produces.
+  using Builder = std::function<Result<DataSetPtr>(int worker)>;
 
   /// Replay observability, read atomically under the lock (like the caches'
-  /// Snapshot): how often lazy healing ran, how much it re-executed, and how
-  /// often a replay itself failed mid-heal (e.g. a worker that died again
-  /// while being rebuilt — the root counts that against its retry budget and
-  /// loops instead of giving up).
+  /// Snapshot): how many rebuilds lazy healing started (recursive parent
+  /// rebuilds included), how many builders it ran to completion, and how
+  /// many rebuilds failed.
   struct Stats {
     int64_t entries = 0;
     int64_t replays_started = 0;
@@ -47,9 +50,12 @@ class RedoLog {
     int64_t entries_replayed = 0;
   };
 
-  /// Appends an entry; returns its index.
+  /// Appends an entry; returns its index. An entry that produces a dataset
+  /// names it in `produces` and passes its builder; a later producer of the
+  /// same id supersedes an earlier one.
   int64_t Append(std::string kind, std::string description, uint64_t seed,
-                 Replayer replayer = nullptr) EXCLUDES(mutex_) {
+                 const std::string& produces = {}, Builder builder = nullptr)
+      EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     RedoLogEntry entry;
     entry.index = static_cast<int64_t>(entries_.size());
@@ -57,45 +63,34 @@ class RedoLog {
     entry.description = std::move(description);
     entry.seed = seed;
     entries_.push_back(entry);
-    replayers_.push_back(std::move(replayer));
+    if (builder) builders_[produces] = std::move(builder);
     return entry.index;
   }
 
-  /// Lazily replays entries [first, last] in order, skipping entries without
-  /// replayers. Stops at the first failure.
-  Status Replay(int64_t first, int64_t last) EXCLUDES(mutex_) {
-    std::vector<Replayer> to_run;
+  /// Lazy replay (§5.7): rebuilds worker `worker`'s copy of dataset `id` by
+  /// running the newest builder logged for it. Unavailable when nothing in
+  /// the log produces `id`; a failing builder's status propagates.
+  Result<DataSetPtr> Rebuild(const std::string& id, int worker)
+      EXCLUDES(mutex_) {
+    Builder builder;
     {
       MutexLock lock(mutex_);
+      auto it = builders_.find(id);
+      if (it == builders_.end()) {
+        return Status::Unavailable("redo log: nothing produces '" + id + "'");
+      }
+      builder = it->second;
       ++replays_started_;
-      for (int64_t i = first; i <= last &&
-                              i < static_cast<int64_t>(replayers_.size());
-           ++i) {
-        if (i < 0) continue;
-        if (replayers_[i]) to_run.push_back(replayers_[i]);
-      }
     }
-    // Closures run unlocked: replayers re-enter the root, which appends to
-    // this same log. Tallies are folded back in under the lock at the end.
-    int64_t executed = 0;
-    Status failure = Status::OK();
-    for (auto& r : to_run) {
-      Status s = r();
-      if (!s.ok()) {
-        failure = std::move(s);
-        break;
-      }
-      ++executed;
+    Result<DataSetPtr> built = builder(worker);
+    MutexLock lock(mutex_);
+    if (built.ok()) {
+      ++entries_replayed_;
+    } else {
+      ++replays_failed_;
     }
-    {
-      MutexLock lock(mutex_);
-      entries_replayed_ += executed;
-      if (!failure.ok()) ++replays_failed_;
-    }
-    return failure;
+    return built;
   }
-
-  Status ReplayAll() { return Replay(0, Size() - 1); }
 
   int64_t Size() const EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
@@ -121,7 +116,7 @@ class RedoLog {
  private:
   mutable Mutex mutex_;
   std::vector<RedoLogEntry> entries_ GUARDED_BY(mutex_);
-  std::vector<Replayer> replayers_ GUARDED_BY(mutex_);
+  std::unordered_map<std::string, Builder> builders_ GUARDED_BY(mutex_);
   int64_t replays_started_ GUARDED_BY(mutex_) = 0;
   int64_t replays_failed_ GUARDED_BY(mutex_) = 0;
   int64_t entries_replayed_ GUARDED_BY(mutex_) = 0;

@@ -17,7 +17,7 @@ enum class StatusCode {
   kOutOfRange,
   kCancelled,
   kFailedPrecondition,
-  kUnavailable,   // soft state evicted / worker dead; caller should replay
+  kUnavailable,   // soft state gone and not rebuilt / worker dead
   kDeadlineExceeded,  // RPC produced no (complete) response in time; the
                       // operation is idempotent, so the caller may retry
   kInternal,

@@ -359,6 +359,41 @@ TEST(Chaos, RecoveredWorkerClosesBreakerViaHalfOpenProbe) {
   EXPECT_GE(tc->root->health().Snapshot().fast_fails, 2);
 }
 
+// A restart while another worker's breaker is open: the tolerant pass still
+// heals the restarted worker at its edge instead of dropping it, and the
+// merger weighs it by its real partition count. Only the muted worker's
+// partitions are lost: coverage is exactly 6 of 8 and the bytes equal the
+// survivors-only reference.
+TEST(Chaos, RestartWhileBreakerOpenHealsWithExactCoverage) {
+  constexpr int kDead = 2;
+  constexpr int kRestarted = 0;
+  std::vector<double> all_values;
+  auto tc = MakeChaosCluster(ChaosPartitions(&all_values));
+  ASSERT_NE(tc, nullptr);
+  FaultPlan plan;
+  plan.schedule.push_back(ScriptedFault::Mute(kDead, Direction::kUp, 0,
+                                              ScriptedFault::kForever));
+  tc->network.InstallFaultInjector(std::make_shared<FaultInjector>(plan));
+
+  RootSession::QueryStats stats;
+  auto tripped = tc->root->RunSketch<HistogramResult>(
+      "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/false, &stats);
+  ASSERT_TRUE(tripped.ok()) << tripped.status().ToString();
+  ASSERT_GE(tc->root->health().Snapshot().trips, 1);
+  ASSERT_TRUE(tc->root->health().AnyOpen());
+
+  tc->root->RestartWorker(kRestarted);
+  auto result = tc->root->RunSketch<HistogramResult>(
+      "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/false, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.coverage, 6.0 / 8.0);
+  EXPECT_EQ(stats.replay_heals, 1);
+  EXPECT_EQ(SummaryBytes(result.value()),
+            SummaryBytes(Reference(SurvivingValues(all_values, kDead))));
+  EXPECT_EQ(tc->workers[kRestarted]->restart_count(), 1);
+}
+
 // The breaker state machine in isolation: closed → (threshold failures) →
 // open → (open-use budget) → half-open → probe outcome decides.
 TEST(Chaos, BreakerStateMachineTripsProbesAndRecovers) {

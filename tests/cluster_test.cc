@@ -163,22 +163,19 @@ TEST(Cluster, DroppedMapFailureIsRecordedOnWorkerAndHeals) {
   EXPECT_EQ(count.value().rows, static_cast<int64_t>(values.size()));
 }
 
-// Satellite of the fault-injection PR: a repeated-crash ladder. A *different*
-// worker is restarted between every retry attempt of one query, so each
-// attempt fails on freshly lost soft state and each heal has to replay the
-// redo log again. The query must still converge, with full coverage and a
-// final summary byte-identical to the fault-free run — the §5.8 determinism
-// contract under serial crashes, not just a single one.
+// A repeated-crash ladder: restarts rotate across the workers before
+// successive queries, and before the last query all three restart. Each
+// query heals at the edges of exactly the workers that lost state (one
+// rebuild each), converges at full coverage and returns a summary
+// byte-identical to the fault-free run — the §5.8 determinism contract
+// under serial crashes, not just a single one.
 TEST(Cluster, RepeatedCrashLadderHealsByteIdentical) {
   auto values = UniformDoubles(12000, 0, 100, 94);
   std::vector<TablePtr> partitions;
   for (const auto& chunk : SplitValues(values, 6)) {
     partitions.push_back(MakeDoubleTable("x", chunk));
   }
-  cluster::Cluster::Options options;
-  options.max_replay_retries = 8;  // the ladder burns five heals
-  auto tc = TestCluster::Create(partitions, /*workers=*/3, /*threads=*/2,
-                                options);
+  auto tc = TestCluster::Create(partitions, /*workers=*/3, /*threads=*/2);
   ASSERT_NE(tc, nullptr);
 
   auto sketch = std::make_shared<StreamingHistogramSketch>(
@@ -190,31 +187,94 @@ TEST(Cluster, RepeatedCrashLadderHealsByteIdentical) {
   auto reference = tc->root->RunSketch<HistogramResult>("data", sketch);
   ASSERT_TRUE(reference.ok());
 
-  // The hook fires after each heal, just before the next attempt: restarting
-  // there re-damages the freshly replayed state, so the next attempt fails
-  // again on a different machine. Four rungs, rotating across all workers.
-  int restarts = 0;
-  tc->root->set_retry_hook([&](int /*attempt*/, const Status&) {
-    if (restarts < 4) {
-      tc->root->RestartWorker((restarts + 1) % 3);
-      ++restarts;
-    }
-  });
-  tc->root->RestartWorker(0);  // the initial crash that starts the ladder
-
-  RootSession::QueryStats stats;
-  auto healed = tc->root->RunSketch<HistogramResult>(
-      "data", sketch, /*seed=*/0, /*cacheable=*/false, &stats);
-  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
-  EXPECT_EQ(restarts, 4);
-  EXPECT_EQ(stats.replay_heals, 5);  // one per rung plus the final heal
-  EXPECT_EQ(stats.transport_retries, 0);
-  EXPECT_FALSE(stats.degraded);
-  EXPECT_EQ(stats.coverage, 1.0);
-  EXPECT_EQ(bytes_of(healed.value()), bytes_of(reference.value()));
-  // Rotating crashes never produced the consecutive-failure run a breaker
-  // trip requires: every worker healed before failing again.
+  const std::vector<std::vector<int>> rungs = {
+      {0}, {1}, {2}, {1, 2}, {0, 1, 2}};
+  for (const auto& crashed : rungs) {
+    SCOPED_TRACE("crashed workers: " + std::to_string(crashed.size()));
+    for (int w : crashed) tc->root->RestartWorker(w);
+    RootSession::QueryStats stats;
+    auto healed = tc->root->RunSketch<HistogramResult>(
+        "data", sketch, /*seed=*/0, /*cacheable=*/false, &stats);
+    ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+    EXPECT_EQ(stats.replay_heals, static_cast<int>(crashed.size()));
+    EXPECT_EQ(stats.transport_retries, 0);
+    EXPECT_FALSE(stats.degraded);
+    EXPECT_EQ(stats.coverage, 1.0);
+    EXPECT_EQ(bytes_of(healed.value()), bytes_of(reference.value()));
+  }
+  // A lost dataset is not an unresponsive worker: no breaker ever trips.
   EXPECT_EQ(tc->root->health().Snapshot().trips, 0);
+}
+
+// A heal touches only what was lost: after worker 0 restarts, the healthy
+// workers keep their very dataset objects (and with them their loaded
+// tables), and only worker 0's partitions run their loaders again.
+TEST(Cluster, HealRebuildsOnlyTheRestartedWorker) {
+  constexpr int kParts = 6;
+  auto values = UniformDoubles(6000, 0, 1, 95);
+  auto chunks = SplitValues(values, kParts);
+  auto loads = std::make_shared<std::vector<std::atomic<int>>>(kParts);
+  std::vector<LocalDataSet::Loader> loaders;
+  for (int p = 0; p < kParts; ++p) {
+    TablePtr table = MakeDoubleTable("x", chunks[p]);
+    loaders.push_back([loads, p, table]() -> Result<TablePtr> {
+      (*loads)[p].fetch_add(1);
+      return table;
+    });
+  }
+  auto tc = TestCluster::Create({}, /*workers=*/3, /*threads=*/2);
+  ASSERT_NE(tc, nullptr);
+  ASSERT_TRUE(tc->root->LoadDataSet("data", loaders).ok());
+  auto count = [&](RootSession::QueryStats* stats) {
+    return tc->root->RunSketch<CountResult>(
+        "data", std::make_shared<CountSketch>(), /*seed=*/0,
+        /*cacheable=*/false, stats);
+  };
+  RootSession::QueryStats stats;
+  ASSERT_TRUE(count(&stats).ok());
+  for (int p = 0; p < kParts; ++p) EXPECT_EQ((*loads)[p].load(), 1);
+  DataSetPtr kept1 = tc->workers[1]->GetDataSet("data").value();
+  DataSetPtr kept2 = tc->workers[2]->GetDataSet("data").value();
+
+  tc->root->RestartWorker(0);
+  auto healed = count(&stats);
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_EQ(healed.value().rows, static_cast<int64_t>(values.size()));
+  EXPECT_EQ(stats.replay_heals, 1);
+  EXPECT_EQ(tc->workers[1]->GetDataSet("data").value(), kept1);
+  EXPECT_EQ(tc->workers[2]->GetDataSet("data").value(), kept2);
+  // Partition p lives on worker p % 3: only partitions 0 and 3 reloaded.
+  for (int p = 0; p < kParts; ++p) {
+    EXPECT_EQ((*loads)[p].load(), p % 3 == 0 ? 2 : 1) << "partition " << p;
+  }
+}
+
+// Streams heal through the same edges as blocking queries: a stream started
+// after a restart completes OK with the fault-free bytes.
+TEST(Cluster, StreamHealsAfterRestart) {
+  auto values = UniformDoubles(9000, 0, 100, 96);
+  std::vector<TablePtr> partitions;
+  for (const auto& chunk : SplitValues(values, 6)) {
+    partitions.push_back(MakeDoubleTable("x", chunk));
+  }
+  auto tc = TestCluster::Create(partitions, /*workers=*/3, /*threads=*/2);
+  ASSERT_NE(tc, nullptr);
+  auto sketch = std::make_shared<StreamingHistogramSketch>(
+      "x", Buckets(NumericBuckets(0, 100, 20)));
+  auto bytes_of = [&](const HistogramResult& r) {
+    return AnySketch::Wrap<HistogramResult>(sketch).Serialize(
+        AnySummary::Wrap<HistogramResult>(r));
+  };
+  auto reference = tc->root->RunSketch<HistogramResult>("data", sketch);
+  ASSERT_TRUE(reference.ok());
+
+  tc->root->RestartWorker(1);
+  auto stream = tc->root->RunSketchStream<HistogramResult>("data", sketch);
+  auto last = stream->BlockingLast();
+  ASSERT_TRUE(stream->final_status().ok())
+      << stream->final_status().ToString();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(bytes_of(last->value), bytes_of(reference.value()));
 }
 
 TEST(Cluster, FindTextParallelDictionaryAgreesWithInline) {

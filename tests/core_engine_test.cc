@@ -286,33 +286,67 @@ TEST(ComputationCache, TypedRoundTrip) {
 
 TEST(RedoLog, AppendsAndReplays) {
   RedoLog log;
-  std::atomic<int> replays{0};
-  log.Append("load", "data", 0, [&replays] {
-    replays.fetch_add(1);
-    return Status::OK();
-  });
-  log.Append("sketch", "data#hist", 42);  // no replayer
-  EXPECT_EQ(log.Size(), 2);
-  ASSERT_TRUE(log.ReplayAll().ok());
-  EXPECT_EQ(replays.load(), 1);
+  std::atomic<int> old_runs{0};
+  std::atomic<int> new_runs{0};
+  auto producer = [](std::string tag, std::atomic<int>* runs) {
+    return [tag, runs](int worker) -> Result<DataSetPtr> {
+      runs->fetch_add(1);
+      return DataSetPtr(LocalDataSet::FromTable(
+          tag + std::to_string(worker), MakeDoubleTable("x", {1.0})));
+    };
+  };
+  log.Append("load", "data v1", 0, "data", producer("old", &old_runs));
+  log.Append("sketch", "data#hist", 42);  // produces no dataset
+  log.Append("load", "data v2", 0, "data", producer("new", &new_runs));
+  EXPECT_EQ(log.Size(), 3);
+
+  // The newest producer of an id wins, built for the asked worker only.
+  auto rebuilt = log.Rebuild("data", 1);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(rebuilt.value()->id(), "new1");
+  EXPECT_EQ(old_runs.load(), 0);
+  EXPECT_EQ(new_runs.load(), 1);
+
+  // Nothing logged produces an unknown id (a sketch entry included).
+  EXPECT_EQ(log.Rebuild("nope", 0).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(log.Rebuild("data#hist", 0).status().code(),
+            StatusCode::kUnavailable);
+
+  const RedoLog::Stats stats = log.Snapshot();
+  EXPECT_EQ(stats.entries, 3);
+  EXPECT_EQ(stats.replays_started, 1);
+  EXPECT_EQ(stats.entries_replayed, 1);
+  EXPECT_EQ(stats.replays_failed, 0);
   auto entries = log.Entries();
   EXPECT_EQ(entries[1].seed, 42u);
   EXPECT_NE(log.ToText().find("data#hist"), std::string::npos);
 }
 
 TEST(RedoLog, ReplayStopsOnFailure) {
+  // A derived builder recurses into its parent's rebuild; the parent's
+  // failure propagates out of the child's rebuild and both count as failed.
   RedoLog log;
   std::atomic<int> runs{0};
-  log.Append("a", "", 0, [&runs] {
+  log.Append("load", "base", 0, "base", [&runs](int) -> Result<DataSetPtr> {
     runs.fetch_add(1);
     return Status::IoError("boom");
   });
-  log.Append("b", "", 0, [&runs] {
-    runs.fetch_add(1);
-    return Status::OK();
-  });
-  EXPECT_FALSE(log.ReplayAll().ok());
-  EXPECT_EQ(runs.load(), 1);
+  log.Append("map", "base -> base/f", 0, "base/f",
+             [&runs, &log](int worker) -> Result<DataSetPtr> {
+               runs.fetch_add(1);
+               HV_ASSIGN_OR_RETURN(DataSetPtr parent,
+                                   log.Rebuild("base", worker));
+               return parent->Map(
+                   [](const TablePtr& t) -> Result<TablePtr> { return t; },
+                   "f");
+             });
+  auto rebuilt = log.Rebuild("base/f", 0);
+  EXPECT_EQ(rebuilt.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(runs.load(), 2);
+  const RedoLog::Stats stats = log.Snapshot();
+  EXPECT_EQ(stats.replays_started, 2);
+  EXPECT_EQ(stats.replays_failed, 2);
+  EXPECT_EQ(stats.entries_replayed, 0);
 }
 
 TEST(AnySketchTest, SerializeDeserializeRoundTrip) {
